@@ -10,9 +10,9 @@
 //! under this orientation).
 
 use spgemm::expr::{ExprGraph, ExprPlan};
-use spgemm::{Algorithm, OutputOrder};
+use spgemm::Algorithm;
 use spgemm_par::Pool;
-use spgemm_sparse::{ops, Csr, PlusTimes, SparseError};
+use spgemm_sparse::{ops, Csr, SparseError};
 
 /// A triangle-counting pipeline with its preprocessing and masked
 /// wedge product precompiled as one expression plan
@@ -22,9 +22,12 @@ use spgemm_sparse::{ops, Csr, PlusTimes, SparseError};
 /// benchmarking): construction does the symmetrize / degree-reorder /
 /// `L + U` split and plans the product once; every
 /// [`TriangleCounter::count`] after the first is a numeric-only
-/// pipeline execution into reused storage — the wedge matrix refills
-/// a cached buffer and the mask application is a cached-intersection
-/// value pass.
+/// pipeline execution into reused storage.
+///
+/// The plan fuses the product into the mask: wedges are only ever
+/// accumulated at positions where the graph has an edge, so the wedge
+/// matrix `L · U` is never materialized (working set `O(nnz(A))`
+/// instead of `O(flop)`).
 pub struct TriangleCounter {
     reordered: Csr<f64>,
     l: Csr<f64>,
@@ -35,8 +38,10 @@ pub struct TriangleCounter {
 }
 
 impl TriangleCounter {
-    /// Preprocess `graph` and plan the masked wedge product with
-    /// `algo`.
+    /// Preprocess `graph` and plan the masked wedge product. `algo` is
+    /// the expression plan's kernel; the fused masked product runs the
+    /// one masked kernel for any `k`-ordered choice (all of which give
+    /// the same bytes), and only Merge materializes `L · U`.
     pub fn new(graph: &Csr<f64>, algo: Algorithm, pool: &Pool) -> Result<Self, SparseError> {
         let simple = ops::symmetrize_simple(&graph.map(|_| 1.0))?;
         // weights irrelevant; count wedges
@@ -91,34 +96,11 @@ impl TriangleCounter {
 ///
 /// The input may be any square pattern; it is symmetrized and its
 /// diagonal dropped first, so multi-edges/direction/self-loops do not
-/// affect the count. `algo` selects the SpGEMM kernel for the `L · U`
-/// step (the recipe: Heap for low compression ratios, Hash otherwise —
-/// Table 4a's `LxU` row). This is [`TriangleCounter`] used once; hold
-/// the counter instead when counting repeatedly.
+/// affect the count. `algo` is passed to [`TriangleCounter::new`]. This
+/// is [`TriangleCounter`] used once; hold the counter instead when
+/// counting repeatedly.
 pub fn count_triangles(graph: &Csr<f64>, algo: Algorithm, pool: &Pool) -> Result<u64, SparseError> {
     TriangleCounter::new(graph, algo, pool)?.count(pool)
-}
-
-/// Triangle counting through **masked** SpGEMM: wedges are only ever
-/// accumulated at positions where the graph has an edge, so the wedge
-/// matrix `L · U` is never materialized (working set `O(nnz(A))`
-/// instead of `O(flop)`). Same preprocessing and result as
-/// [`count_triangles`].
-pub fn count_triangles_masked(graph: &Csr<f64>, pool: &Pool) -> Result<u64, SparseError> {
-    let simple = ops::symmetrize_simple(&graph.map(|_| 1.0))?;
-    let simple = simple.map(|_| 1.0f64);
-    let perm = ops::degree_ascending_permutation(&simple);
-    let reordered = ops::permute_symmetric(&simple, &perm)?;
-    let (l, u) = ops::split_lu(&reordered)?;
-    let wedges_on_edges = spgemm::multiply_masked::<PlusTimes<f64>, f64>(
-        &l,
-        &u,
-        &reordered,
-        OutputOrder::Unsorted,
-        pool,
-    )?;
-    let total: f64 = wedges_on_edges.vals().iter().sum();
-    Ok((total / 2.0).round() as u64)
 }
 
 /// Brute-force reference: enumerate vertex triples on the symmetrized
@@ -213,24 +195,28 @@ mod tests {
     }
 
     #[test]
-    fn masked_path_agrees_with_materialized_path() {
+    fn counter_fuses_the_masked_product() {
         let pool = Pool::new(2);
-        for seed in 0..3u64 {
-            let a = spgemm_gen::suite::uniform_matrix(50, 400, &mut spgemm_gen::rng(seed));
-            let full = count_triangles(&a, Algorithm::Hash, &pool).unwrap();
-            let masked = count_triangles_masked(&a, &pool).unwrap();
-            assert_eq!(full, masked, "seed {seed}");
-        }
-        let g = spgemm_gen::rmat::generate_kind(
+        let mut graphs: Vec<Csr<f64>> = (0..3u64)
+            .map(|seed| spgemm_gen::suite::uniform_matrix(50, 400, &mut spgemm_gen::rng(seed)))
+            .collect();
+        graphs.push(spgemm_gen::rmat::generate_kind(
             spgemm_gen::RmatKind::G500,
             7,
             8,
             &mut spgemm_gen::rng(9),
-        );
-        assert_eq!(
-            count_triangles(&g, Algorithm::Hash, &pool).unwrap(),
-            count_triangles_masked(&g, &pool).unwrap()
-        );
+        ));
+        for (k, g) in graphs.iter().enumerate() {
+            let expect = count_triangles_naive(g).unwrap();
+            for algo in [Algorithm::Hash, Algorithm::Auto] {
+                let mut counter = TriangleCounter::new(g, algo, &pool).unwrap();
+                let plan = counter.expr_plan();
+                assert_eq!(plan.masked_fusions(), 1, "graph {k} {algo}: L·U fuses");
+                assert_eq!(plan.fused_nodes(), 1, "graph {k} {algo}");
+                assert!(plan.fused_bytes_eliminated() > 0, "graph {k} {algo}");
+                assert_eq!(counter.count(&pool).unwrap(), expect, "graph {k} {algo}");
+            }
+        }
     }
 
     #[test]

@@ -56,11 +56,12 @@ proptest! {
     fn triangle_count_matches_bruteforce(g in arb_digraph(16, 60)) {
         let gf = g.map(|_| 1.0f64);
         let pool = Pool::new(2);
-        let fast = triangles::count_triangles(&gf, Algorithm::Hash, &pool).unwrap();
-        let masked = triangles::count_triangles_masked(&gf, &pool).unwrap();
         let naive = triangles::count_triangles_naive(&gf).unwrap();
-        prop_assert_eq!(fast, naive);
-        prop_assert_eq!(masked, naive);
+        for algo in [Algorithm::Hash, Algorithm::Heap, Algorithm::Auto] {
+            let mut counter = triangles::TriangleCounter::new(&gf, algo, &pool).unwrap();
+            prop_assert_eq!(counter.expr_plan().masked_fusions(), 1, "{}", algo);
+            prop_assert_eq!(counter.count(&pool).unwrap(), naive, "{}", algo);
+        }
     }
 
     #[test]

@@ -7,6 +7,13 @@
 //! the fly — `O(flop · log nnz(a_i*))` per Eq (1), but only
 //! `O(nnz(a_i*))` accumulator space.
 //!
+//! Column ties are broken by the cursor's position in `a_i*`, so the
+//! products of one output entry are summed in `k`-encounter order —
+//! the order of every other `k`-ordered kernel (Hash, SPA, ...), which
+//! makes Heap's output bit-identical to theirs. The heap compares one
+//! packed `u64` key, `(col << 32) | src`, so the tie-break costs no
+//! extra comparison.
+//!
 //! Contracts (paper Table 1): inputs sorted, output sorted. One-phase:
 //! no symbolic pass — every thread stages its rows into a flop-bound
 //! private buffer, then the driver copies them into place.
@@ -19,8 +26,11 @@ use spgemm_sparse::{ColIdx, Csr, Semiring};
 
 /// One cursor in the per-row merge: the current entry `b.cols[pos]` of
 /// a `B`-row being merged, scaled by the `A` value that selected it.
+#[derive(Clone, Copy)]
 struct Cursor<V> {
-    col: ColIdx,
+    /// `(b.cols[pos] << 32) | src`, `src` being the cursor's position
+    /// in `a_i*`: ordering by key is ordering by column, then by `k`.
+    key: u64,
     pos: usize,
     end: usize,
     aval: V,
@@ -37,8 +47,11 @@ impl<S: Semiring> HeapKernel<S> {
         HeapKernel { heap: Vec::new() }
     }
 
+    /// Sift `item` down from slot `at`: smaller children move up into
+    /// the hole and `item` is written once where it lands (half the
+    /// memory traffic of swapping at every level).
     #[inline]
-    fn sift_down(&mut self, mut at: usize) {
+    fn sift_down(&mut self, mut at: usize, item: Cursor<S::Elem>) {
         let len = self.heap.len();
         loop {
             let l = 2 * at + 1;
@@ -46,24 +59,26 @@ impl<S: Semiring> HeapKernel<S> {
                 break;
             }
             let r = l + 1;
-            let smallest = if r < len && self.heap[r].col < self.heap[l].col {
+            let smallest = if r < len && self.heap[r].key < self.heap[l].key {
                 r
             } else {
                 l
             };
-            if self.heap[smallest].col < self.heap[at].col {
-                self.heap.swap(at, smallest);
+            if self.heap[smallest].key < item.key {
+                self.heap[at] = self.heap[smallest];
                 at = smallest;
             } else {
                 break;
             }
         }
+        self.heap[at] = item;
     }
 
     fn heapify(&mut self) {
         let len = self.heap.len();
         for i in (0..len / 2).rev() {
-            self.sift_down(i);
+            let item = self.heap[i];
+            self.sift_down(i, item);
         }
     }
 
@@ -71,11 +86,11 @@ impl<S: Semiring> HeapKernel<S> {
     /// selected by row `i` of `A`.
     fn load_row(&mut self, a: &Csr<S::Elem>, b: &Csr<S::Elem>, i: usize) {
         self.heap.clear();
-        for (&k, &aval) in a.row_cols(i).iter().zip(a.row_vals(i)) {
+        for (src, (&k, &aval)) in a.row_cols(i).iter().zip(a.row_vals(i)).enumerate() {
             let r = b.row_range(k as usize);
             if !r.is_empty() {
                 self.heap.push(Cursor {
-                    col: b.cols()[r.start],
+                    key: cursor_key(b.cols()[r.start], src as u64),
                     pos: r.start,
                     end: r.end,
                     aval,
@@ -88,16 +103,17 @@ impl<S: Semiring> HeapKernel<S> {
     /// Pop the minimum-column cursor's current entry and advance it.
     #[inline]
     fn advance_top(&mut self, b: &Csr<S::Elem>) {
-        let next = self.heap[0].pos + 1;
-        if next < self.heap[0].end {
-            self.heap[0].pos = next;
-            self.heap[0].col = b.cols()[next];
-            self.sift_down(0);
+        let mut top = self.heap[0];
+        let next = top.pos + 1;
+        if next < top.end {
+            top.pos = next;
+            top.key = cursor_key(b.cols()[next], top.key & SRC_MASK);
+            self.sift_down(0, top);
         } else {
-            let last = self.heap.len() - 1;
-            self.heap.swap(0, last);
-            self.heap.pop();
-            self.sift_down(0);
+            let last = self.heap.pop().expect("advance_top on an empty heap");
+            if !self.heap.is_empty() {
+                self.sift_down(0, last);
+            }
         }
     }
 }
@@ -106,6 +122,19 @@ impl<S: Semiring> Default for HeapKernel<S> {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// Low half of a cursor key: its position in `a_i*`.
+const SRC_MASK: u64 = (1 << 32) - 1;
+
+#[inline]
+fn cursor_key(col: ColIdx, src: u64) -> u64 {
+    ((col as u64) << 32) | src
+}
+
+#[inline]
+fn key_col(key: u64) -> ColIdx {
+    (key >> 32) as ColIdx
 }
 
 impl<S: Semiring> StagedRowKernel<S> for HeapKernel<S> {
@@ -121,7 +150,7 @@ impl<S: Semiring> StagedRowKernel<S> for HeapKernel<S> {
         let mut emitted = 0usize;
         let mut last_col = ColIdx::MAX;
         while let Some(top) = self.heap.first() {
-            let col = top.col;
+            let col = key_col(top.key);
             let contrib = S::mul(top.aval, b.vals()[top.pos]);
             if col == last_col {
                 // accumulate into the entry emitted for this column
@@ -145,8 +174,9 @@ impl<S: Semiring> RowAccumulator<S> for HeapKernel<S> {
         let mut count = 0usize;
         let mut last_col = ColIdx::MAX;
         while let Some(top) = self.heap.first() {
-            if top.col != last_col {
-                last_col = top.col;
+            let col = key_col(top.key);
+            if col != last_col {
+                last_col = col;
                 count += 1;
             }
             self.advance_top(b);
@@ -169,7 +199,7 @@ impl<S: Semiring> RowAccumulator<S> for HeapKernel<S> {
         let mut pos = 0usize;
         let mut last_col = ColIdx::MAX;
         while let Some(top) = self.heap.first() {
-            let col = top.col;
+            let col = key_col(top.key);
             let contrib = S::mul(top.aval, b.vals()[top.pos]);
             if col == last_col {
                 vals[pos - 1] = S::add(vals[pos - 1], contrib);
@@ -260,6 +290,19 @@ mod tests {
         let c = multiply::<P>(&a, &b, &Pool::new(1));
         assert_eq!(c.nnz(), 1);
         assert_eq!(c.get(0, 2), Some(&320.0));
+    }
+
+    #[test]
+    fn ties_accumulate_in_k_order() {
+        // Three products meet in (0, 0): 1e16, 1.0 and -1e16, in that
+        // k order. Summed in k order, 1e16 + 1 rounds back to 1e16 and
+        // the result is 0; any other order gives 1.
+        let a = Csr::from_triplets(1, 3, &[(0, 0, 1e16), (0, 1, 1.0), (0, 2, -1e16)]).unwrap();
+        let b = Csr::from_triplets(3, 1, &[(0, 0, 1.0), (1, 0, 1.0), (2, 0, 1.0)]).unwrap();
+        let expect = reference::multiply::<P>(&a, &b);
+        assert_eq!(expect.get(0, 0), Some(&0.0));
+        let got = multiply::<P>(&a, &b, &Pool::new(1));
+        assert_eq!(got.get(0, 0).map(|v| v.to_bits()), Some(0.0f64.to_bits()));
     }
 
     #[test]

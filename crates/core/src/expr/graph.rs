@@ -233,12 +233,14 @@ impl ExprGraph {
         self.push(ExprOp::Multiply { a, b })
     }
 
-    /// `(a · b) ∘ mask` — the masked product. Compiled as the
-    /// product followed by a Hadamard with the mask, so the product
-    /// subexpression is shared with any other consumer and the mask
-    /// application is a cached-structure, numeric-only node like every
-    /// other element-wise op. (The returned id is the masked node;
-    /// the intermediate product node exists in the graph.)
+    /// `(a · b) ∘ mask` — the masked product, recorded as the product
+    /// followed by a Hadamard with the mask (the returned id is the
+    /// Hadamard; the product node exists in the graph). When the
+    /// product has no other consumer, [`crate::expr::ExprPlan`] fuses
+    /// the pair into one masked plan that never materializes `a · b`;
+    /// when something else also reads the product, it is materialized
+    /// once, shared, and the mask applied as a cached-intersection
+    /// Hadamard. Either way the output bytes are the same.
     pub fn masked_multiply(&mut self, a: NodeId, b: NodeId, mask: NodeId) -> NodeId {
         let product = self.multiply(a, b);
         self.hadamard(product, mask)

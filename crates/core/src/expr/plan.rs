@@ -13,7 +13,14 @@
 //!   materialized node. Element-wise unary nodes (`Map`,
 //!   `ScaleRows`/`ScaleCols`, `NormalizeCols`) whose operand has no
 //!   other consumer are **fused**: they run as an in-place epilogue on
-//!   the producing node's buffer and materialize nothing.
+//!   the producing node's buffer and materialize nothing. A
+//!   `Hadamard` whose operand is a `Multiply` with no other consumer
+//!   is **fused** too: the node runs one masked [`SpgemmPlan`]
+//!   ([`SpgemmPlan::new_masked_in`]) with its other operand as the
+//!   mask, so the product is never materialized — the masked `L·U` of
+//!   triangle counting — and the output is byte for byte the unfused
+//!   product-then-Hadamard of any `k`-ordered kernel. (Merge, which
+//!   sums in its own order, is never fused.)
 //! * **Execute many** ([`ExprPlan::execute_into_in`]): with inputs of
 //!   the *same structure* (values free to change), every node is a
 //!   numeric-only refill of its cached buffer — `Multiply` via
@@ -72,6 +79,17 @@ enum NodeState {
         b: ValueLoc,
         /// Boxed: a plan is an order of magnitude larger than any
         /// other node's state, and most nodes are not multiplies.
+        plan: Box<SpgemmPlan<P>>,
+    },
+    /// A `Multiply` whose only consumer is a `Hadamard` that runs it
+    /// as a masked product: never materialized, nothing to do.
+    FusedProduct,
+    /// `(a · b) ∘ mask` through one masked plan (the fused
+    /// `Hadamard`; its product operand is a [`NodeState::FusedProduct`]).
+    MaskedMultiply {
+        a: ValueLoc,
+        b: ValueLoc,
+        mask: ValueLoc,
         plan: Box<SpgemmPlan<P>>,
     },
     Transpose {
@@ -147,6 +165,9 @@ pub struct ExprPlan {
     /// Whole-DAG structure fingerprint.
     dag_fp: u64,
     needed: Vec<bool>,
+    /// For each `Hadamard` fused with its product operand: that
+    /// product's node index (the other operand is the mask).
+    masked_product: Vec<Option<usize>>,
     states: Vec<NodeState>,
     /// One (possibly unused) value buffer per node.
     bufs: Vec<Csr<f64>>,
@@ -262,6 +283,7 @@ impl ExprPlan {
         Self::validate_binding(graph, inputs, vecs)?;
         let needed = graph.reachable(root);
         let consumers = graph.consumer_counts(&needed);
+        let masked_product = masked_fusions(graph, &needed, &consumers, algo);
         // Value placement + fusion: an element-wise unary node whose
         // operand is a materialized buffer nobody else reads rewrites
         // that buffer in place and owns no buffer of its own.
@@ -301,6 +323,7 @@ impl ExprPlan {
             node_fps,
             dag_fp,
             needed,
+            masked_product,
             states: std::iter::repeat_with(|| NodeState::Skipped)
                 .take(graph.len())
                 .collect(),
@@ -384,6 +407,10 @@ impl ExprPlan {
                 self.states[i] = NodeState::Skipped;
                 continue;
             }
+            if self.masked_product.contains(&Some(i)) {
+                self.states[i] = NodeState::FusedProduct;
+                continue;
+            }
             let op = self.graph.nodes()[i];
             let (head, tail) = self.bufs.split_at_mut(i);
             let me = &mut tail[0];
@@ -429,6 +456,48 @@ impl ExprPlan {
                         b: vb,
                         a_src,
                         b_src,
+                    }
+                }
+                ExprOp::Hadamard { a, b } if self.masked_product[i].is_some() => {
+                    let p = self.masked_product[i].expect("guarded above");
+                    let ExprOp::Multiply { a: pa, b: pb } = self.graph.nodes()[p] else {
+                        unreachable!("masked fusion absorbs a Multiply")
+                    };
+                    let mask = if a.index() == p { b } else { a };
+                    let (va, vb, vm) = (
+                        self.value_of[pa.index()],
+                        self.value_of[pb.index()],
+                        self.value_of[mask.index()],
+                    );
+                    let (ar, br, mr) = (
+                        resolve(va, inputs, head),
+                        resolve(vb, inputs, head),
+                        resolve(vm, inputs, head),
+                    );
+                    if !mr.is_sorted() {
+                        return Err(SparseError::Unsorted {
+                            op: "expr hadamard",
+                        });
+                    }
+                    let plan = match prev {
+                        NodeState::MaskedMultiply { plan: mut p, .. } => {
+                            p.rebind_masked_in(ar, br, mr, pool)?;
+                            p
+                        }
+                        _ => Box::new(SpgemmPlan::new_masked_in(
+                            ar,
+                            br,
+                            mr,
+                            OutputOrder::Sorted,
+                            pool,
+                        )?),
+                    };
+                    plan.execute_masked_into_in(ar, br, mr, me, pool)?;
+                    NodeState::MaskedMultiply {
+                        a: va,
+                        b: vb,
+                        mask: vm,
+                        plan,
                     }
                 }
                 ExprOp::Hadamard { a, b } => {
@@ -633,11 +702,20 @@ impl ExprPlan {
         for i in 0..self.graph.len() {
             let (head, tail) = self.bufs.split_at_mut(i);
             match &mut self.states[i] {
-                NodeState::Skipped | NodeState::Input => {}
+                NodeState::Skipped | NodeState::Input | NodeState::FusedProduct => {}
                 NodeState::Multiply { a, b, plan } => {
                     let _g = obs::span!("expr", "expr.multiply");
                     let (ar, br) = (resolve(*a, inputs, head), resolve(*b, inputs, head));
                     plan.execute_into_in(ar, br, &mut tail[0], pool)?;
+                }
+                NodeState::MaskedMultiply { a, b, mask, plan } => {
+                    let _g = obs::span!("expr", "expr.masked_multiply");
+                    let (ar, br, mr) = (
+                        resolve(*a, inputs, head),
+                        resolve(*b, inputs, head),
+                        resolve(*mask, inputs, head),
+                    );
+                    plan.execute_masked_into_in(ar, br, mr, &mut tail[0], pool)?;
                 }
                 NodeState::Transpose { a, val_order } => {
                     let _g = obs::span!("expr", "expr.transpose");
@@ -753,28 +831,48 @@ impl ExprPlan {
         &self.node_fps
     }
 
-    /// Number of element-wise nodes fused into their producer's
-    /// numeric phase (they materialize nothing).
+    /// Number of nodes that materialize nothing: element-wise nodes
+    /// fused into their producer's numeric phase, and products fused
+    /// into a masked product.
     pub fn fused_nodes(&self) -> usize {
         self.states
             .iter()
-            .filter(|s| matches!(s, NodeState::Unary { fused: true, .. }))
+            .filter(|s| {
+                matches!(
+                    s,
+                    NodeState::Unary { fused: true, .. } | NodeState::FusedProduct
+                )
+            })
+            .count()
+    }
+
+    /// Number of `Hadamard` nodes that run as one masked product, their
+    /// product operand never materialized.
+    pub fn masked_fusions(&self) -> usize {
+        self.states
+            .iter()
+            .filter(|s| matches!(s, NodeState::MaskedMultiply { .. }))
             .count()
     }
 
     /// Bytes of intermediate CSR storage the fused nodes would have
-    /// materialized as standalone copies (what epilogue fusion
-    /// eliminates): for each fused node, the byte size of the buffer
-    /// it rewrites in place.
+    /// materialized: for each fused element-wise node, the byte size of
+    /// the buffer it rewrites in place (the standalone copy it skips);
+    /// for each fused product, the byte size of that product.
     pub fn fused_bytes_eliminated(&self) -> usize {
         self.states
             .iter()
-            .filter_map(|s| match s {
+            .enumerate()
+            .filter_map(|(i, s)| match s {
                 NodeState::Unary {
                     fused: true,
                     a: ValueLoc::Buf(owner),
                     ..
                 } => Some(csr_bytes(&self.bufs[*owner])),
+                NodeState::MaskedMultiply { plan, .. } => Some(csr_bytes_of(
+                    self.bufs[i].nrows(),
+                    plan.masked_product_nnz().unwrap_or(0),
+                )),
                 _ => None,
             })
             .sum()
@@ -791,7 +889,7 @@ impl ExprPlan {
     pub fn workspace_stats(&self) -> WorkspaceStats {
         let mut total = WorkspaceStats::default();
         for s in &self.states {
-            if let NodeState::Multiply { plan, .. } = s {
+            if let NodeState::Multiply { plan, .. } | NodeState::MaskedMultiply { plan, .. } = s {
                 let st = plan.workspace_stats();
                 total.created += st.created;
                 total.reused += st.reused;
@@ -804,8 +902,42 @@ impl ExprPlan {
 /// CSR storage bytes of a buffer (row pointers + column indices +
 /// values).
 fn csr_bytes(m: &Csr<f64>) -> usize {
-    std::mem::size_of_val(m.rpts())
-        + m.nnz() * (std::mem::size_of::<ColIdx>() + std::mem::size_of::<f64>())
+    csr_bytes_of(m.nrows(), m.nnz())
+}
+
+/// [`csr_bytes`] of an `nrows`-row matrix with `nnz` entries.
+fn csr_bytes_of(nrows: usize, nnz: usize) -> usize {
+    (nrows + 1) * std::mem::size_of::<usize>()
+        + nnz * (std::mem::size_of::<ColIdx>() + std::mem::size_of::<f64>())
+}
+
+/// Masked-product fusion: for each needed `Hadamard` with a
+/// `Multiply` operand that nothing else consumes, that product's index
+/// (the left operand when both qualify). The Hadamard then runs the
+/// product as a masked plan with its other operand as the mask. Merge
+/// sums in its own order, so its products are never fused.
+fn masked_fusions(
+    graph: &ExprGraph,
+    needed: &[bool],
+    consumers: &[u32],
+    algo: Algorithm,
+) -> Vec<Option<usize>> {
+    let fusable = |x: NodeId| {
+        algo != Algorithm::Merge
+            && consumers[x.index()] == 1
+            && matches!(graph.nodes()[x.index()], ExprOp::Multiply { .. })
+    };
+    graph
+        .nodes()
+        .iter()
+        .enumerate()
+        .map(|(i, op)| match *op {
+            ExprOp::Hadamard { a, b } if needed[i] => {
+                [a, b].into_iter().find(|&x| fusable(x)).map(NodeId::index)
+            }
+            _ => None,
+        })
+        .collect()
 }
 
 /// Build an `Add` node's cached structure + provenance into `me`.

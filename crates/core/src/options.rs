@@ -97,6 +97,16 @@ impl Algorithm {
         !matches!(self, Algorithm::Inspector)
     }
 
+    /// Whether the kernel sums each output entry's products in
+    /// `k`-encounter order (ascending position in `a_i*`), the order
+    /// that makes all such kernels — and the masked plan, row-delta
+    /// recomputes and serve's patch-in-place — byte-identical. Merge
+    /// is the exception: it sums over a pairwise tree of row merges,
+    /// which rounds differently.
+    pub fn accumulates_in_k_order(self) -> bool {
+        !matches!(self, Algorithm::Merge | Algorithm::Auto)
+    }
+
     /// Whether the algorithm can honour `OutputOrder::Unsorted` with a
     /// genuine sort-skip (the §5.4.4 optimization). Heap/Merge/
     /// Reference produce sorted output for free; Inspector is always
@@ -168,6 +178,8 @@ mod tests {
         assert!(!Algorithm::RowClass.requires_sorted_inputs());
         assert!(Algorithm::RowClass.honours_sorted_output());
         assert!(Algorithm::RowClass.supports_sort_skip());
+        assert!(Algorithm::Heap.accumulates_in_k_order());
+        assert!(!Algorithm::Merge.accumulates_in_k_order());
         assert!(OutputOrder::Sorted.is_sorted());
         assert!(!OutputOrder::Unsorted.is_sorted());
     }

@@ -38,6 +38,7 @@ use crate::algos::heap::HeapKernel;
 use crate::algos::ikj::IkjKernel;
 use crate::algos::inspector::InspectorKernel;
 use crate::algos::kkhash::KkHashAccumulator;
+use crate::algos::masked::{self, MaskedWorkspaces};
 use crate::algos::merge::MergeAccumulator;
 use crate::algos::simd::{self, SimdLevel};
 use crate::algos::spa::SpaAccumulator;
@@ -103,10 +104,15 @@ enum PlanKernel<S: Semiring> {
         level: SimdLevel,
     },
     Reference,
+    /// The one masked kernel (see [`SpgemmPlan::new_masked_in`]).
+    Masked(MaskedWorkspaces<S>),
 }
 
 impl<S: Semiring> PlanKernel<S> {
-    fn new(algo: Algorithm, nthreads: usize) -> Self {
+    fn new(algo: Algorithm, nthreads: usize, masked: bool) -> Self {
+        if masked {
+            return PlanKernel::Masked(WorkspacePool::with_threads(nthreads));
+        }
         match algo {
             Algorithm::Hash => PlanKernel::Hash(WorkspacePool::with_threads(nthreads)),
             Algorithm::HashVec => PlanKernel::HashVec {
@@ -181,8 +187,22 @@ macro_rules! with_kernel {
                 $body
             }
             PlanKernel::Reference => unreachable!("Reference handled before kernel dispatch"),
+            PlanKernel::Masked(_) => unreachable!("masked plans run their own passes"),
         }
     }};
+}
+
+/// What a masked plan remembers of the mask it was bound to.
+#[derive(Clone, Copy, Debug)]
+struct MaskBinding {
+    nnz: usize,
+    /// Rows are emitted in mask order, so this is the output's
+    /// sortedness before any requested sort.
+    sorted: bool,
+    /// Structure fingerprint; `None` for one-shot plans.
+    sig: Option<u64>,
+    /// `nnz(A · B)`, the product the mask kept from materializing.
+    product_nnz: usize,
 }
 
 /// Outcome of resolving the symbolic state for one execution.
@@ -250,6 +270,8 @@ pub struct SpgemmPlan<S: Semiring> {
     /// touched once per pass, and keeping it out of line keeps
     /// `SpgemmPlan` small for the enums that embed it (`expr`).
     rowclass: Option<Box<RowClassSpec>>,
+    /// Masked plans only: the bound mask.
+    mask: Option<MaskBinding>,
     kernel: PlanKernel<S>,
 }
 
@@ -274,7 +296,60 @@ impl<S: Semiring> SpgemmPlan<S> {
         order: OutputOrder,
         pool: &Pool,
     ) -> Result<Self, SparseError> {
-        Self::build(a, b, algo, order, pool, true)
+        Self::build(a, b, None, algo, order, pool, true)
+    }
+
+    /// Plan the masked product `C = (A · B) ∘ M` on an explicit pool
+    /// (see [`crate::algos::masked`]): products outside the mask's
+    /// pattern are never accumulated, and each output entry is the
+    /// `k`-ordered sum times its mask value — byte for byte a
+    /// `k`-ordered kernel's product followed by a Hadamard with `M`,
+    /// without ever materializing `A · B`.
+    ///
+    /// A masked plan always runs the one masked kernel, a mask-gated
+    /// SPA, so [`SpgemmPlan::algorithm`] reports [`Algorithm::Spa`].
+    /// Rows come out in the mask's column order: sorted when the mask
+    /// is, sorted on request otherwise. Execute it with
+    /// [`SpgemmPlan::execute_masked_into_in`] and rebind it with
+    /// [`SpgemmPlan::rebind_masked_in`]; the unmasked entry points
+    /// reject it.
+    ///
+    /// ```
+    /// use spgemm::{OutputOrder, SpgemmPlan};
+    /// use spgemm_par::Pool;
+    /// use spgemm_sparse::{Csr, PlusTimes};
+    ///
+    /// let a = Csr::from_triplets(2, 2, &[(0, 0, 1.0), (0, 1, 2.0), (1, 1, 3.0)])?;
+    /// let mask = Csr::from_triplets(2, 2, &[(0, 1, 10.0)])?;
+    /// let pool = Pool::new(1);
+    /// let plan =
+    ///     SpgemmPlan::<PlusTimes<f64>>::new_masked_in(&a, &a, &mask, OutputOrder::Sorted, &pool)?;
+    /// let c = plan.execute_masked_in(&a, &a, &mask, &pool)?;
+    /// assert_eq!(c.nnz(), 1);
+    /// assert_eq!(c.get(0, 1), Some(&80.0)); // (1·2 + 2·3) · 10
+    /// assert_eq!(plan.masked_product_nnz(), Some(3), "A·A has 3 entries");
+    /// # Ok::<(), spgemm_sparse::SparseError>(())
+    /// ```
+    pub fn new_masked_in(
+        a: &Csr<S::Elem>,
+        b: &Csr<S::Elem>,
+        mask: &Csr<S::Elem>,
+        order: OutputOrder,
+        pool: &Pool,
+    ) -> Result<Self, SparseError> {
+        Self::build(a, b, Some(mask), Algorithm::Spa, order, pool, true)
+    }
+
+    /// [`SpgemmPlan::new_masked_in`] for exactly one execution (no
+    /// structure fingerprints), as [`crate::multiply_masked`] uses it.
+    pub(crate) fn new_masked_oneshot(
+        a: &Csr<S::Elem>,
+        b: &Csr<S::Elem>,
+        mask: &Csr<S::Elem>,
+        order: OutputOrder,
+        pool: &Pool,
+    ) -> Result<Self, SparseError> {
+        Self::build(a, b, Some(mask), Algorithm::Spa, order, pool, false)
     }
 
     /// A plan for exactly one execution: skips the structure
@@ -288,18 +363,19 @@ impl<S: Semiring> SpgemmPlan<S> {
         order: OutputOrder,
         pool: &Pool,
     ) -> Result<Self, SparseError> {
-        Self::build(a, b, algo, order, pool, false)
+        Self::build(a, b, None, algo, order, pool, false)
     }
 
     fn build(
         a: &Csr<S::Elem>,
         b: &Csr<S::Elem>,
+        mask: Option<&Csr<S::Elem>>,
         algo: Algorithm,
         order: OutputOrder,
         pool: &Pool,
         fingerprint: bool,
     ) -> Result<Self, SparseError> {
-        let (resolved, stats) = Self::analyze(a, b, algo, order, pool)?;
+        let (resolved, stats) = Self::analyze(a, b, mask, algo, order, pool)?;
         let mut plan = SpgemmPlan {
             requested: algo,
             algo: resolved,
@@ -313,16 +389,46 @@ impl<S: Semiring> SpgemmPlan<S> {
             symbolic: Mutex::new(None),
             consumers: None,
             rowclass: None,
-            kernel: PlanKernel::new(resolved, pool.nthreads()),
+            mask: None,
+            kernel: PlanKernel::new(resolved, pool.nthreads(), mask.is_some()),
         };
-        if plan.algo == Algorithm::RowClass {
+        if plan.algo == Algorithm::RowClass && mask.is_none() {
             plan.rowclass = Some(Box::new(RowClassSpec::build(a, b, &plan.stats)));
         }
-        if !plan.symbolic_is_deferred() {
-            let sym = plan.run_symbolic(a, b, pool);
-            *plan.symbolic.get_mut() = Some(Arc::new(sym));
-        }
+        plan.bind_symbolic(a, b, mask, fingerprint, pool);
         Ok(plan)
+    }
+
+    /// Install the symbolic structure for freshly (re)bound operands:
+    /// the masked symbolic pass for masked plans, the kernel's own for
+    /// two-phase plans, nothing yet for one-phase plans (their first
+    /// execution discovers it).
+    fn bind_symbolic(
+        &mut self,
+        a: &Csr<S::Elem>,
+        b: &Csr<S::Elem>,
+        mask: Option<&Csr<S::Elem>>,
+        fingerprint: bool,
+        pool: &Pool,
+    ) {
+        *self.symbolic.get_mut() = None;
+        if let (PlanKernel::Masked(ws), Some(m)) = (&self.kernel, mask) {
+            let _g = obs::span!("plan", "plan.symbolic");
+            let sym = masked::symbolic_pass::<S>(ws, a, b, m, &self.stats, pool);
+            self.mask = Some(MaskBinding {
+                nnz: m.nnz(),
+                sorted: m.is_sorted(),
+                sig: fingerprint.then(|| structure_signature(m)),
+                product_nnz: sym.product_nnz,
+            });
+            *self.symbolic.get_mut() = Some(Arc::new(SymbolicPlan {
+                rpts: sym.rpts,
+                nnz: sym.nnz,
+            }));
+        } else if !self.symbolic_is_deferred() {
+            let sym = self.run_symbolic(a, b, pool);
+            *self.symbolic.get_mut() = Some(Arc::new(sym));
+        }
     }
 
     /// Validate shapes/contracts and resolve `Auto`; shared by
@@ -330,6 +436,7 @@ impl<S: Semiring> SpgemmPlan<S> {
     fn analyze(
         a: &Csr<S::Elem>,
         b: &Csr<S::Elem>,
+        mask: Option<&Csr<S::Elem>>,
         algo: Algorithm,
         order: OutputOrder,
         pool: &Pool,
@@ -341,6 +448,15 @@ impl<S: Semiring> SpgemmPlan<S> {
                 right: b.shape(),
                 op: "multiply",
             });
+        }
+        if let Some(m) = mask {
+            if m.shape() != (a.nrows(), b.ncols()) {
+                return Err(SparseError::ShapeMismatch {
+                    left: (a.nrows(), b.ncols()),
+                    right: m.shape(),
+                    op: "masked multiply (mask shape)",
+                });
+            }
         }
         let resolved = match algo {
             Algorithm::Auto => recipe::auto_select(a, b, order),
@@ -385,12 +501,36 @@ impl<S: Semiring> SpgemmPlan<S> {
         b: &Csr<S::Elem>,
         pool: &Pool,
     ) -> Result<(), SparseError> {
+        self.rebind_with(a, b, None, pool)
+    }
+
+    /// Re-plan a masked plan for new operands and/or a new mask
+    /// structure, keeping its pooled accumulators — the masked
+    /// counterpart of [`SpgemmPlan::rebind_in`].
+    pub fn rebind_masked_in(
+        &mut self,
+        a: &Csr<S::Elem>,
+        b: &Csr<S::Elem>,
+        mask: &Csr<S::Elem>,
+        pool: &Pool,
+    ) -> Result<(), SparseError> {
+        self.rebind_with(a, b, Some(mask), pool)
+    }
+
+    fn rebind_with(
+        &mut self,
+        a: &Csr<S::Elem>,
+        b: &Csr<S::Elem>,
+        mask: Option<&Csr<S::Elem>>,
+        pool: &Pool,
+    ) -> Result<(), SparseError> {
         let _g = obs::span!("plan", "plan.rebind");
-        let (resolved, stats) = Self::analyze(a, b, self.requested, self.order, pool)?;
+        self.check_mask_mode(mask.is_some())?;
+        let (resolved, stats) = Self::analyze(a, b, mask, self.requested, self.order, pool)?;
         if resolved != self.algo || pool.nthreads() != self.nthreads {
             // The workspace pool holds the wrong accumulator type (or
             // the wrong number of slots); rebuild it.
-            self.kernel = PlanKernel::new(resolved, pool.nthreads());
+            self.kernel = PlanKernel::new(resolved, pool.nthreads(), mask.is_some());
             self.algo = resolved;
             self.nthreads = pool.nthreads();
         }
@@ -401,14 +541,35 @@ impl<S: Semiring> SpgemmPlan<S> {
         // Rebinding implies reuse intent: always fingerprint.
         self.sigs = Some(signatures(a, b));
         self.consumers = None;
-        self.rowclass = (self.algo == Algorithm::RowClass)
+        self.rowclass = (self.algo == Algorithm::RowClass && mask.is_none())
             .then(|| Box::new(RowClassSpec::build(a, b, &self.stats)));
-        *self.symbolic.get_mut() = None;
-        if !self.symbolic_is_deferred() {
-            let sym = self.run_symbolic(a, b, pool);
-            *self.symbolic.get_mut() = Some(Arc::new(sym));
-        }
+        self.bind_symbolic(a, b, mask, true, pool);
         Ok(())
+    }
+
+    /// Error unless the call's masked-ness matches the plan's.
+    fn check_mask_mode(&self, masked_call: bool) -> Result<(), SparseError> {
+        match (self.is_masked(), masked_call) {
+            (true, false) => Err(SparseError::PlanMismatch {
+                detail: "masked plan used without its mask; call the *_masked_* methods".into(),
+            }),
+            (false, true) => Err(SparseError::PlanMismatch {
+                detail: "unmasked plan given a mask; plan with SpgemmPlan::new_masked_in".into(),
+            }),
+            _ => Ok(()),
+        }
+    }
+
+    /// Whether this is a masked plan ([`SpgemmPlan::new_masked_in`]).
+    pub fn is_masked(&self) -> bool {
+        matches!(self.kernel, PlanKernel::Masked(_))
+    }
+
+    /// Masked plans: `nnz(A · B)` of the bound operands — the product
+    /// the mask kept from being materialized. `None` for unmasked
+    /// plans.
+    pub fn masked_product_nnz(&self) -> Option<usize> {
+        self.mask.map(|m| m.product_nnz)
     }
 
     /// Incremental rebind after a row-granular edit of the operands:
@@ -475,6 +636,7 @@ impl<S: Semiring> SpgemmPlan<S> {
         pool: &Pool,
     ) -> Result<DirtyRows, SparseError> {
         let _g = obs::span!("delta", "delta.rebind_rows");
+        self.check_mask_mode(false)?;
         if dirty_a.nrows() != a.nrows() || dirty_b.nrows() != b.nrows() {
             return Err(SparseError::PlanMismatch {
                 detail: format!(
@@ -631,7 +793,7 @@ impl<S: Semiring> SpgemmPlan<S> {
         pool: &Pool,
     ) -> Result<(), SparseError> {
         let _g = obs::span!("delta", "delta.execute_rows");
-        self.check(a, b, pool)?;
+        self.check(a, b, None, pool)?;
         if dirty.nrows() != self.dims.0 {
             return Err(SparseError::PlanMismatch {
                 detail: format!(
@@ -783,6 +945,7 @@ impl<S: Semiring> SpgemmPlan<S> {
             PlanKernel::KkHash(ws) => ws.stats(),
             PlanKernel::Ikj(ws) => ws.stats(),
             PlanKernel::RowClass { ws, .. } => ws.stats(),
+            PlanKernel::Masked(ws) => ws.stats(),
             PlanKernel::Reference => WorkspaceStats::default(),
         }
     }
@@ -791,7 +954,38 @@ impl<S: Semiring> SpgemmPlan<S> {
     /// was built for (shape, nnz and FNV fingerprint of row pointers +
     /// column indices — values are free to differ). Always `false` for
     /// plans built without a fingerprint (the internal one-shot path).
+    /// Always `false` for masked plans (see
+    /// [`SpgemmPlan::matches_masked_structure`]).
     pub fn matches_structure(&self, a: &Csr<S::Elem>, b: &Csr<S::Elem>) -> bool {
+        !self.is_masked() && self.operands_match(a, b)
+    }
+
+    /// [`SpgemmPlan::matches_structure`] for masked plans: operands
+    /// *and* mask must carry the bound structures. Always `false` for
+    /// unmasked or one-shot plans.
+    pub fn matches_masked_structure(
+        &self,
+        a: &Csr<S::Elem>,
+        b: &Csr<S::Elem>,
+        mask: &Csr<S::Elem>,
+    ) -> bool {
+        let Some(MaskBinding {
+            nnz,
+            sorted,
+            sig: Some(sig),
+            ..
+        }) = self.mask
+        else {
+            return false;
+        };
+        mask.shape() == (self.dims.0, self.dims.2)
+            && mask.nnz() == nnz
+            && mask.is_sorted() == sorted
+            && self.operands_match(a, b)
+            && structure_signature(mask) == sig
+    }
+
+    fn operands_match(&self, a: &Csr<S::Elem>, b: &Csr<S::Elem>) -> bool {
         let Some((planned_a, planned_b)) = self.sigs else {
             return false;
         };
@@ -811,7 +1005,14 @@ impl<S: Semiring> SpgemmPlan<S> {
     /// the amortization the plan exists to provide); callers that
     /// substitute operands between executes should gate on
     /// [`SpgemmPlan::matches_structure`] or use a [`PlanCache`].
-    fn check(&self, a: &Csr<S::Elem>, b: &Csr<S::Elem>, pool: &Pool) -> Result<(), SparseError> {
+    fn check(
+        &self,
+        a: &Csr<S::Elem>,
+        b: &Csr<S::Elem>,
+        mask: Option<&Csr<S::Elem>>,
+        pool: &Pool,
+    ) -> Result<(), SparseError> {
+        self.check_mask_mode(mask.is_some())?;
         if self.dims != (a.nrows(), a.ncols(), b.ncols()) || a.ncols() != b.nrows() {
             return Err(SparseError::ShapeMismatch {
                 left: a.shape(),
@@ -847,6 +1048,25 @@ impl<S: Semiring> SpgemmPlan<S> {
                 ),
             });
         }
+        if let (Some(bound), Some(m)) = (&self.mask, mask) {
+            if m.shape() != (self.dims.0, self.dims.2)
+                || m.nnz() != bound.nnz
+                || m.is_sorted() != bound.sorted
+            {
+                return Err(SparseError::PlanMismatch {
+                    detail: format!(
+                        "mask {}x{} nnz={} (sorted: {}) differs from the planned mask \
+                         nnz={} (sorted: {}); rebind the plan",
+                        m.nrows(),
+                        m.ncols(),
+                        m.nnz(),
+                        m.is_sorted(),
+                        bound.nnz,
+                        bound.sorted
+                    ),
+                });
+            }
+        }
         Ok(())
     }
 
@@ -854,6 +1074,9 @@ impl<S: Semiring> SpgemmPlan<S> {
     /// outputs: kernels with inherently sorted output ignore the
     /// request, everyone else honours it.
     fn output_is_sorted(&self) -> bool {
+        if let Some(m) = &self.mask {
+            return m.sorted;
+        }
         match self.algo {
             Algorithm::Heap | Algorithm::Merge | Algorithm::Reference => true,
             _ => self.order.is_sorted(),
@@ -872,7 +1095,28 @@ impl<S: Semiring> SpgemmPlan<S> {
         b: &Csr<S::Elem>,
         pool: &Pool,
     ) -> Result<Csr<S::Elem>, SparseError> {
-        self.check(a, b, pool)?;
+        self.execute_fresh(a, b, None, pool)
+    }
+
+    /// Masked plans: numeric-only `(A · B) ∘ M` into a fresh output.
+    pub fn execute_masked_in(
+        &self,
+        a: &Csr<S::Elem>,
+        b: &Csr<S::Elem>,
+        mask: &Csr<S::Elem>,
+        pool: &Pool,
+    ) -> Result<Csr<S::Elem>, SparseError> {
+        self.execute_fresh(a, b, Some(mask), pool)
+    }
+
+    fn execute_fresh(
+        &self,
+        a: &Csr<S::Elem>,
+        b: &Csr<S::Elem>,
+        mask: Option<&Csr<S::Elem>>,
+        pool: &Pool,
+    ) -> Result<Csr<S::Elem>, SparseError> {
+        self.check(a, b, mask, pool)?;
         if matches!(self.kernel, PlanKernel::Reference) {
             return Ok(crate::algos::reference::multiply::<S>(a, b));
         }
@@ -882,15 +1126,17 @@ impl<S: Semiring> SpgemmPlan<S> {
                 let (m, _, n) = self.dims;
                 let mut cols = vec![0 as ColIdx; sym.nnz];
                 let mut vals = vec![S::zero(); sym.nnz];
-                self.run_numeric(a, b, &sym.rpts, pool, &mut cols, &mut vals);
-                Ok(Csr::from_parts_unchecked(
+                self.run_numeric(a, b, mask, &sym.rpts, pool, &mut cols, &mut vals);
+                let mut c = Csr::from_parts_unchecked(
                     m,
                     n,
                     sym.rpts.clone(),
                     cols,
                     vals,
                     self.output_is_sorted(),
-                ))
+                );
+                self.sort_masked_on_request(&mut c);
+                Ok(c)
             }
         }
     }
@@ -918,7 +1164,33 @@ impl<S: Semiring> SpgemmPlan<S> {
         c: &mut Csr<S::Elem>,
         pool: &Pool,
     ) -> Result<(), SparseError> {
-        self.check(a, b, pool)?;
+        self.execute_into_with(a, b, None, c, pool)
+    }
+
+    /// Masked plans: numeric-only `(A · B) ∘ M` overwriting `c` in
+    /// place — allocation-free in steady state, like
+    /// [`SpgemmPlan::execute_into_in`]. `mask` must carry the bound
+    /// structure (values are free to change).
+    pub fn execute_masked_into_in(
+        &self,
+        a: &Csr<S::Elem>,
+        b: &Csr<S::Elem>,
+        mask: &Csr<S::Elem>,
+        c: &mut Csr<S::Elem>,
+        pool: &Pool,
+    ) -> Result<(), SparseError> {
+        self.execute_into_with(a, b, Some(mask), c, pool)
+    }
+
+    fn execute_into_with(
+        &self,
+        a: &Csr<S::Elem>,
+        b: &Csr<S::Elem>,
+        mask: Option<&Csr<S::Elem>>,
+        c: &mut Csr<S::Elem>,
+        pool: &Pool,
+    ) -> Result<(), SparseError> {
+        self.check(a, b, mask, pool)?;
         if matches!(self.kernel, PlanKernel::Reference) {
             *c = crate::algos::reference::multiply::<S>(a, b);
             return Ok(());
@@ -933,11 +1205,20 @@ impl<S: Semiring> SpgemmPlan<S> {
                 c.prepare_overwrite(m, n, sym.nnz, S::zero(), sorted);
                 let (rpts_mut, cols_mut, vals_mut) = c.raw_parts_mut();
                 rpts_mut.copy_from_slice(&sym.rpts);
-                self.run_numeric(a, b, &sym.rpts, pool, cols_mut, vals_mut);
+                self.run_numeric(a, b, mask, &sym.rpts, pool, cols_mut, vals_mut);
+                self.sort_masked_on_request(c);
                 debug_assert!(c.validate().is_ok(), "planned numeric pass built bad CSR");
             }
         }
         Ok(())
+    }
+
+    /// Masked rows come out in mask order; honour a `Sorted` request
+    /// over an unsorted mask by sorting them (a no-op otherwise).
+    fn sort_masked_on_request(&self, c: &mut Csr<S::Elem>) {
+        if self.is_masked() && self.order.is_sorted() {
+            c.sort_rows();
+        }
     }
 
     /// Get the symbolic structure, running the deferred staged first
@@ -986,16 +1267,25 @@ impl<S: Semiring> SpgemmPlan<S> {
 
     /// The numeric pass into pre-sliced output, with pooled
     /// accumulators.
+    #[allow(clippy::too_many_arguments)]
     fn run_numeric(
         &self,
         a: &Csr<S::Elem>,
         b: &Csr<S::Elem>,
+        mask: Option<&Csr<S::Elem>>,
         rpts: &[usize],
         pool: &Pool,
         cols: &mut [ColIdx],
         vals: &mut [S::Elem],
     ) {
         let _g = obs::span!("plan", "plan.numeric");
+        if let (PlanKernel::Masked(ws), Some(m)) = (&self.kernel, mask) {
+            if obs::enabled() {
+                static MASKED: obs::CounterSite = obs::CounterSite::new("plan", "plan.exec.masked");
+                MASKED.incr();
+            }
+            return masked::numeric_pass::<S>(ws, a, b, m, &self.stats, rpts, pool, cols, vals);
+        }
         count_execute(self.algo);
         let sorted = self.output_is_sorted();
         if let (PlanKernel::RowClass { ws, level }, Some(spec)) = (&self.kernel, &self.rowclass) {

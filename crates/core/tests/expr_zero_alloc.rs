@@ -1,8 +1,9 @@
 //! Steady-state allocation accounting for the expression-plan
 //! executor — the acceptance test for the fusion claim: once an
 //! [`ExprPlan`] and its reused output have warmed up,
-//! `execute_into` re-runs the *whole pipeline* (SpGEMM, transpose,
-//! add, hadamard, fused element-wise epilogues, root copy) with
+//! `execute_into` re-runs the *whole pipeline* (SpGEMM, masked
+//! SpGEMM, transpose, add, hadamard, fused element-wise epilogues,
+//! root copy) with
 //! **zero** heap allocations for intermediates.
 //!
 //! Same approach as `plan_zero_alloc.rs`: a counting
@@ -73,8 +74,8 @@ fn expr_execute_into_steady_state_allocates_nothing() {
     // Every node kind in one DAG:
     //   t  = Aᵀ              (cached counting sort, gather refill)
     //   s  = A + t           (cached union structure, provenance refill)
-    //   sq = s · s           (SpgemmPlan execute_into)
-    //   h  = sq ∘ A          (cached intersection, provenance refill)
+    //   sq = s · s           (fused into h: never materialized)
+    //   h  = sq ∘ A          (masked SpgemmPlan execute_masked_into)
     //   m  = |h|^2           (fused epilogue in h's buffer)
     //   n  = normalize_cols  (fused epilogue, cached colsum scratch)
     //   r  = scale_rows(n)   (fused epilogue)
@@ -90,7 +91,12 @@ fn expr_execute_into_steady_state_allocates_nothing() {
     let root = g.scale_rows(n, vf);
 
     let mut plan = ExprPlan::new_in(&g, root, &[&a], &[&rf], Algorithm::Hash, &pool).unwrap();
-    assert_eq!(plan.fused_nodes(), 3, "map, normalize and scale all fuse");
+    assert_eq!(
+        plan.fused_nodes(),
+        4,
+        "the product fuses into the mask; map, normalize and scale fuse"
+    );
+    assert_eq!(plan.masked_fusions(), 1);
     assert!(plan.fused_bytes_eliminated() > 0);
 
     let mut out = Csr::<f64>::zero(0, 0);
@@ -117,9 +123,10 @@ fn expr_execute_into_steady_state_allocates_nothing() {
     assert!(out.validate().is_ok());
 }
 
-/// The same pipeline with the multiply nodes running RowClass: the
-/// bucketed passes (u16-compressed indices at 192 columns) must reach
-/// the allocation-free steady state inside an expression plan too.
+/// A materialized product under RowClass: the bucketed passes
+/// (u16-compressed indices at 192 columns) must reach the
+/// allocation-free steady state inside an expression plan too. The
+/// product feeds an `Add`, so it is not fused into a masked product.
 #[test]
 fn expr_rowclass_steady_state_allocates_nothing() {
     let a = banded(192);
@@ -129,7 +136,7 @@ fn expr_rowclass_steady_state_allocates_nothing() {
     let t = g.transpose(ia);
     let s = g.add(ia, t);
     let sq = g.multiply(s, s);
-    let root = g.hadamard(sq, ia);
+    let root = g.add(sq, ia);
 
     let mut plan = ExprPlan::new_in(&g, root, &[&a], &[], Algorithm::RowClass, &pool).unwrap();
     let mut out = Csr::<f64>::zero(0, 0);
@@ -150,6 +157,48 @@ fn expr_rowclass_steady_state_allocates_nothing() {
     );
     assert_eq!(out.nnz(), nnz, "result drifted");
     assert!(out.validate().is_ok());
+}
+
+/// The triangle-counting shape `(L · U) ∘ A` with a Hadamard on top:
+/// the masked product (fused) and a cached-intersection Hadamard (its
+/// operand is not a product) both refill without allocating, under a
+/// heap and a hash request alike.
+#[test]
+fn expr_masked_product_steady_state_allocates_nothing() {
+    let g500 =
+        spgemm_gen::rmat::generate_kind(spgemm_gen::RmatKind::G500, 8, 8, &mut spgemm_gen::rng(5));
+    let a = spgemm_sparse::ops::symmetrize_simple(&g500).unwrap();
+    let (l, u) = spgemm_sparse::ops::split_lu(&a).unwrap();
+    let pool = Pool::new(1);
+    let mut g = ExprGraph::new();
+    let il = g.input();
+    let iu = g.input();
+    let ia = g.input();
+    let wedges = g.masked_multiply(il, iu, ia);
+    let root = g.hadamard(wedges, ia);
+    for algo in [Algorithm::Heap, Algorithm::Hash] {
+        let inputs = [&l, &u, &a];
+        let mut plan = ExprPlan::new_in(&g, root, &inputs, &[], algo, &pool).unwrap();
+        assert_eq!(plan.masked_fusions(), 1, "{algo}");
+        let mut out = Csr::<f64>::zero(0, 0);
+        for _ in 0..3 {
+            plan.execute_into_in(&inputs, &[], &mut out, &pool).unwrap();
+        }
+        let nnz = out.nnz();
+        assert!(nnz > 0);
+
+        let before = allocations();
+        for _ in 0..10 {
+            plan.execute_into_in(&inputs, &[], &mut out, &pool).unwrap();
+        }
+        assert_eq!(
+            allocations() - before,
+            0,
+            "{algo}: steady-state masked expression execution must not allocate"
+        );
+        assert_eq!(out.nnz(), nnz, "result drifted");
+        assert!(out.validate().is_ok());
+    }
 }
 
 #[test]

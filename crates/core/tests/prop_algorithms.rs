@@ -59,8 +59,54 @@ fn all_concrete() -> Vec<Algorithm> {
     ]
 }
 
+/// A square matrix whose entry `(0, 0)` of `A · A` gathers `n ≥ 3`
+/// products (row 0 and column 0 are full), plus random entries — with
+/// inexact values, so the summation order shows in the bits.
+fn arb_colliding(max_dim: usize, max_nnz: usize) -> impl Strategy<Value = Csr<f64>> {
+    (3..=max_dim).prop_flat_map(move |n| {
+        (
+            proptest::collection::vec((0..n, 0..n, -3.0f64..3.0), 0..=max_nnz),
+            proptest::collection::vec(-3.0f64..3.0, 2 * n),
+        )
+            .prop_map(move |(trips, hub)| {
+                let mut coo = Coo::new(n, n).unwrap();
+                for k in 0..n {
+                    coo.push(0, k as ColIdx, hub[k]).unwrap();
+                    coo.push(k, 0, hub[n + k]).unwrap();
+                }
+                for (r, c, v) in trips {
+                    coo.push(r, c as ColIdx, v).unwrap();
+                }
+                coo.into_csr_sum()
+            })
+    })
+}
+
+fn bits_eq(a: &Csr<f64>, b: &Csr<f64>) -> bool {
+    a.rpts() == b.rpts()
+        && a.cols() == b.cols()
+        && a.vals()
+            .iter()
+            .zip(b.vals())
+            .all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn heap_is_bit_equal_to_hash_when_products_collide(a in arb_colliding(24, 140), nt in 1usize..=3) {
+        let pool = Pool::new(nt);
+        let hash = multiply_in::<P>(&a, &a, Algorithm::Hash, OutputOrder::Sorted, &pool).unwrap();
+        // one-shot (staged first run) and a held plan's numeric pass
+        let plan =
+            spgemm::SpgemmPlan::<P>::new_in(&a, &a, Algorithm::Heap, OutputOrder::Sorted, &pool)
+                .unwrap();
+        for run in 0..2 {
+            let heap = plan.execute_in(&a, &a, &pool).unwrap();
+            prop_assert!(bits_eq(&hash, &heap), "run {}", run);
+        }
+    }
 
     #[test]
     fn every_algorithm_matches_oracle_on_squares(a in arb_square(28, 160)) {

@@ -1,7 +1,7 @@
 //! The serving engine: worker threads draining the queue through the
 //! shared plan cache.
 
-use crate::delta::{DeltaTracker, RowUpdateReceipt};
+use crate::delta::{DeltaStep, DeltaTracker, RowUpdateReceipt, HISTORY};
 use crate::error::ServeError;
 use crate::expr_results::ExprResultCache;
 use crate::job::{ExprRequest, JobCore, JobHandle, ProductRequest};
@@ -11,7 +11,7 @@ use crate::queue::{BatchKey, ExprJob, JobPayload, JobQueue, QueuedJob};
 use crate::store::MatrixStore;
 use spgemm::delta::{recompute_product_rows, DirtyRows, RowPatch};
 use spgemm::expr::{fnv64, ExprOp};
-use spgemm::{Algorithm, OutputOrder, SpgemmPlan};
+use spgemm::{recipe, Algorithm, OutputOrder, SpgemmPlan};
 use spgemm_dist::{DistConfig, DistError, GridSpec, ShardRuntime};
 use spgemm_obs as obs;
 use spgemm_par::{panic_text, Pool};
@@ -773,32 +773,25 @@ fn eval_expr(
 
 /// Patch-in-place for one expression node: when node `i` is a
 /// `Multiply` of two input leaves, at least one of which was
-/// row-updated since a previous evaluation, recover the *previous*
-/// version's cached product and recompute only the output rows the
-/// edits invalidated (`dirty(A) ∪ {i : A[i] ∩ dirty(B) ≠ ∅}`) via
+/// row-updated since a previous evaluation, recover the product of the
+/// *newest* ancestor versions still in the result cache and recompute
+/// only the output rows the edits since then invalidated
+/// (`dirty(A) ∪ {i : A[i] ∩ dirty(B) ≠ ∅}`) via
 /// [`recompute_product_rows`]. Returns `None` whenever any
 /// precondition fails — the caller then evaluates the node normally,
 /// so this path can only save work, never change results.
 ///
 /// Byte-for-byte safety: `recompute_product_rows` reproduces the
-/// sorted output of the ascending-`k` accumulator family (Hash,
-/// HashVec, SPA, KkHash, IKJ, and RowClass — whose per-class kernels
-/// all accumulate in `k`-encounter order and are byte-identical to
-/// Hash) exactly, so the patch is gated on those kernels and on the
-/// node *not* routing to the shard fleet (whose merge path
-/// accumulates in its own order).
+/// sorted output of the `k`-ordered kernels (every kernel but Merge
+/// sums each entry's products in `k`-encounter order, so all of them
+/// give the same bytes) exactly, so the patch is gated on the node's
+/// kernel being one of them and on the node *not* routing to the shard
+/// fleet (whose merge path accumulates in its own order). `Auto` is
+/// resolved against the operands first, as the node's plan resolves
+/// it; it patches only under the static recipe, whose sorted picks are
+/// all `k`-ordered — so the ancestor's product was too. (A tuned
+/// profile may pick Merge for one version and not the next.)
 fn try_patch_multiply(shared: &EngineShared, job: &ExprJob, node: usize) -> Option<Arc<Csr<f64>>> {
-    if !matches!(
-        job.algo,
-        Algorithm::Hash
-            | Algorithm::HashVec
-            | Algorithm::Spa
-            | Algorithm::KkHash
-            | Algorithm::Ikj
-            | Algorithm::RowClass
-    ) {
-        return None;
-    }
     let graph = &job.spec.graph;
     let ExprOp::Multiply { a, b } = graph.nodes()[node] else {
         return None;
@@ -811,52 +804,79 @@ fn try_patch_multiply(shared: &EngineShared, job: &ExprJob, node: usize) -> Opti
     };
     let am = job.inputs[sa].csr();
     let bm = job.inputs[sb].csr();
+    // Resolve each operand's history once, so the fingerprints and the
+    // dirty sets describe the same version transitions even if further
+    // updates land concurrently.
+    let hist_a = shared
+        .deltas
+        .history(job.inputs[sa].name(), job.inputs[sa].version());
+    let hist_b = if sb == sa {
+        Vec::new()
+    } else {
+        shared
+            .deltas
+            .history(job.inputs[sb].name(), job.inputs[sb].version())
+    };
+    if hist_a.is_empty() && hist_b.is_empty() {
+        return None; // nothing upstream changed incrementally
+    }
+    let algo = match job.algo {
+        Algorithm::Auto if recipe::auto_hook_installed() => return None,
+        Algorithm::Auto => recipe::auto_select(am, bm, OutputOrder::Sorted),
+        other => other,
+    };
+    if !algo.accumulates_in_k_order() {
+        return None;
+    }
     if let Some((_, routing)) = &shared.dist {
         if routes_to_dist(am, bm, routing) {
             return None;
         }
     }
-    // Resolve each operand's edit window once, so the old fingerprint
-    // and the dirty sets describe the same version transition even if
-    // further updates land concurrently.
-    let rec_a = shared
-        .deltas
-        .applicable(job.inputs[sa].name(), job.inputs[sa].version());
-    let rec_b = if sb == sa {
-        rec_a.clone()
-    } else {
-        shared
-            .deltas
-            .applicable(job.inputs[sb].name(), job.inputs[sb].version())
+    // Ancestor `(da, db)` goes `da` steps back on A and `db` on B (one
+    // shared chain when both slots are the same matrix); try the
+    // newest first, i.e. by total depth.
+    let (max_a, max_b) = (hist_a.len(), hist_b.len());
+    let mut candidates = (1..=HISTORY).flat_map(|depth| {
+        (0..=depth.min(max_a)).filter_map(move |da| {
+            let db = depth - da;
+            let ok = if sb == sa { db == 0 } else { db <= max_b };
+            ok.then_some((da, db))
+        })
+    });
+    let version_at = |slot: usize, hist: &[DeltaStep], d: usize| match d {
+        0 => job.inputs[slot].version(),
+        d => hist[d - 1].from_version,
     };
-    if rec_a.is_none() && rec_b.is_none() {
-        return None; // nothing upstream changed incrementally
-    }
-    let old_version = |slot: usize| -> u64 {
-        let rec = if slot == sa {
-            &rec_a
-        } else if slot == sb {
-            &rec_b
-        } else {
-            &None
+    let (old_c, da, db) = candidates.find_map(|(da, db)| {
+        let (va, vb) = (version_at(sa, &hist_a, da), version_at(sb, &hist_b, db));
+        let old_version = |slot: usize| match slot {
+            s if s == sa => va,
+            s if s == sb => vb,
+            s => job.inputs[s].version(),
         };
-        rec.as_ref()
-            .map(|r| r.from_version)
-            .unwrap_or_else(|| job.inputs[slot].version())
-    };
-    let old_fp = graph.node_fingerprints(old_version, job.algo as u64)[node];
-    let old_c = shared.expr_results.peek(old_fp)?;
+        let old_fp = graph.node_fingerprints(old_version, job.algo as u64)[node];
+        shared.expr_results.peek(old_fp).map(|c| (c, da, db))
+    })?;
     if (old_c.nrows(), old_c.ncols()) != (am.nrows(), bm.ncols()) || !old_c.is_sorted() {
         return None; // fingerprint collision or foreign entry: recompute
     }
-    let dirty_for = |rec: &Option<crate::delta::DeltaRecord>, nrows: usize| match rec {
-        Some(r) if r.dirty.nrows() == nrows => Some(r.dirty.clone()),
-        Some(_) => None, // universe drifted from the snapshot: recompute
-        None => Some(DirtyRows::new(nrows)),
+    let dirty_since = |hist: &[DeltaStep], d: usize, nrows: usize| {
+        let mut dirty = DirtyRows::new(nrows);
+        for step in &hist[..d] {
+            if step.dirty.nrows() != nrows {
+                return None; // universe drifted from the snapshot: recompute
+            }
+            dirty.union_with(&step.dirty);
+        }
+        Some(dirty)
     };
-    let dirty_a = dirty_for(&rec_a, am.nrows())?;
-    let dirty_b = dirty_for(&rec_b, bm.nrows())?;
-    let mut out = dirty_a;
+    let mut out = dirty_since(&hist_a, da, am.nrows())?;
+    let dirty_b = if sb == sa {
+        out.clone()
+    } else {
+        dirty_since(&hist_b, db, bm.nrows())?
+    };
     for i in 0..am.nrows() {
         if !out.contains(i) && am.row_cols(i).iter().any(|&k| dirty_b.contains(k as usize)) {
             out.insert(i);

@@ -247,3 +247,96 @@ fn unknown_name_and_bad_patch_leave_the_store_untouched() {
     assert_eq!(m.row_updates, 0);
     assert_eq!(m.rows_dirtied, 0);
 }
+
+/// Engine plus `A · A` expression spec over the stored matrix "a".
+fn square_engine(
+    a: &Csr<f64>,
+    expr_result_entries: usize,
+) -> (ServeEngine, spgemm::expr::ExprSpec) {
+    use spgemm::expr::{ExprGraph, ExprSpec};
+    let engine = ServeEngine::new(ServeConfig {
+        workers: 1,
+        expr_result_entries,
+        ..ServeConfig::default()
+    });
+    engine.store().insert("a", a.clone());
+    let mut g = ExprGraph::new();
+    let ia = g.input();
+    let root = g.multiply(ia, ia);
+    (engine, ExprSpec::new(g, root))
+}
+
+#[test]
+fn steady_write_read_stream_patches_every_read() {
+    // More updates than the result cache holds entries: each read must
+    // patch from the previous read's product, not from the version the
+    // stream started at (long evicted by then).
+    const ENTRIES: usize = 64;
+    const STEPS: usize = 80;
+    let a = rmat(6, 4, 71);
+    let (engine, spec) = square_engine(&a, ENTRIES);
+    let read = |engine: &ServeEngine| {
+        engine
+            .try_submit_expr(ExprRequest::new(spec.clone(), ["a"]).algo(Algorithm::Hash))
+            .unwrap()
+            .wait()
+            .unwrap()
+    };
+    read(&engine);
+    for step in 0..STEPS {
+        let mut patch = RowPatch::new();
+        patch.insert(
+            (step * 7) % a.nrows(),
+            ((step * 13) % a.ncols()) as u32,
+            0.5 + step as f64,
+        );
+        engine.try_submit_row_update("a", &patch).unwrap();
+        let got = read(&engine);
+        let cur = engine.store().get("a").unwrap().csr().clone();
+        let expect = multiply_f64(&cur, &cur, Algorithm::Hash, OutputOrder::Sorted).unwrap();
+        assert!(bits_eq(&got, &expect), "step {step}: patched read differs");
+        assert_eq!(
+            engine.metrics().expr_results_patched,
+            step as u64 + 1,
+            "step {step}: every read after the first must patch"
+        );
+    }
+    engine.shutdown();
+}
+
+#[test]
+fn auto_jobs_resolve_then_patch_in_place() {
+    // dense, skewed G500: the static recipe picks Hash for sorted A·A
+    let a = spgemm_gen::rmat::generate_kind(
+        spgemm_gen::RmatKind::G500,
+        7,
+        16,
+        &mut spgemm_gen::rng(73),
+    );
+    assert!(!spgemm::recipe::auto_hook_installed());
+    assert_eq!(
+        spgemm::recipe::auto_select(&a, &a, OutputOrder::Sorted),
+        Algorithm::Hash
+    );
+    let (engine, spec) = square_engine(&a, 16);
+    let read = |engine: &ServeEngine| {
+        engine
+            .try_submit_expr(ExprRequest::new(spec.clone(), ["a"]).algo(Algorithm::Auto))
+            .unwrap()
+            .wait()
+            .unwrap()
+    };
+    read(&engine);
+    let mut patch = RowPatch::new();
+    patch.insert(3, 5, 2.25).insert(40, 1, -1.5);
+    engine.try_submit_row_update("a", &patch).unwrap();
+    let got = read(&engine);
+    let cur = engine.store().get("a").unwrap().csr().clone();
+    let expect = multiply_f64(&cur, &cur, Algorithm::Auto, OutputOrder::Sorted).unwrap();
+    assert!(
+        bits_eq(&got, &expect),
+        "patched Auto result must equal a full recompute"
+    );
+    let m = engine.shutdown();
+    assert_eq!(m.expr_results_patched, 1, "the Auto read must patch: {m:?}");
+}

@@ -136,13 +136,12 @@ fn symbolic_nnz_matches_numeric_everywhere() {
 fn masked_multiply_integrates_with_generators() {
     let a =
         spgemm_gen::rmat::generate_kind(spgemm_gen::RmatKind::G500, 8, 8, &mut spgemm_gen::rng(21));
-    let mask = a.map(|_| 1u8);
+    let mask = a.map(|_| 1.0f64);
     let pool = Pool::new(2);
-    let masked =
-        spgemm::multiply_masked::<P, u8>(&a, &a, &mask, OutputOrder::Sorted, &pool).unwrap();
+    let masked = spgemm::multiply_masked::<P>(&a, &a, &mask, OutputOrder::Sorted, &pool).unwrap();
     let full = multiply_in::<P>(&a, &a, Algorithm::Hash, OutputOrder::Sorted, &pool).unwrap();
-    let expect = ops::hadamard(&full, &a.map(|_| 1.0f64)).unwrap();
-    assert!(approx_eq_f64(&expect, &masked, 1e-9));
+    let expect = ops::hadamard(&full, &mask).unwrap();
+    assert!(approx_eq_f64(&expect, &masked, 0.0));
 }
 
 #[test]
